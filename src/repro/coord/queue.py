@@ -53,7 +53,8 @@ try:  # POSIX; the O_EXCL spin below covers platforms without it
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.exec.journal import JournalRecord, read_journal
+from repro.exec.durable import append, atomic_write, canonical
+from repro.exec.journal import JournalRecord, recover_journal
 
 #: Bump on any incompatible change to the coordinator document or the
 #: queue event payloads.
@@ -259,10 +260,6 @@ class QueueSnapshot:
         return lines
 
 
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 class WorkQueue:
     """The durable queue over one coordinator directory.
 
@@ -345,11 +342,7 @@ class WorkQueue:
             "batch_size": config.batch_size,
             "latency": config.latency,
         }
-        from repro.store.store import _write_durable
-
-        _write_durable(
-            queue.coordinator_path, _canonical(doc).encode("utf-8")
-        )
+        atomic_write(queue.coordinator_path, canonical(doc).encode("utf-8"))
         queue._doc = doc
         return queue
 
@@ -473,18 +466,7 @@ class WorkQueue:
         sequence numbering contiguous; whatever a damaged suffix
         recorded is simply re-executed (idempotent by construction).
         """
-        records, report = read_journal(self.queue_path)
-        keep = sum(len(record.encode()) for record in records)
-        if (
-            report.records_discarded
-            and self.queue_path.exists()
-            and keep < self.queue_path.stat().st_size
-        ):
-            with open(self.queue_path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return records
+        return recover_journal(self.queue_path)[0]
 
     def _append(
         self, records: List[JournalRecord], events: List[Tuple[str, Dict[str, Any]]]
@@ -492,13 +474,11 @@ class WorkQueue:
         if not events:
             return
         next_seq = records[-1].seq + 1 if records else 0
-        with open(self.queue_path, "ab") as handle:
-            for offset, (kind, payload) in enumerate(events):
-                handle.write(
-                    JournalRecord(next_seq + offset, kind, payload).encode()
-                )
-            handle.flush()
-            os.fsync(handle.fileno())
+        lines = [
+            JournalRecord(next_seq + offset, kind, payload).encode()
+            for offset, (kind, payload) in enumerate(events)
+        ]
+        append(self.queue_path, b"".join(lines))
 
     # ---------------------------------------------------------------- fold
     def _fold(self, records: List[JournalRecord]) -> Dict[int, ShardState]:

@@ -6,7 +6,9 @@ so a production-scale reproduction must survive process death
 mid-campaign. The journal is the durable record of *what the study was
 doing*: one line per event (study begin, unit start, unit commit,
 snapshot written, study final), each carrying a schema version, a
-monotonic sequence number, and a CRC32 over its canonical encoding.
+monotonic sequence number, and a CRC32 over its canonical encoding
+(the line framing and prefix reader live in :mod:`repro.exec.durable`;
+this module owns the schema version and sequence rules).
 
 Recovery semantics (shared with :mod:`repro.exec.checkpoint`):
 
@@ -30,12 +32,11 @@ Resume then replays deterministic work from the newest valid snapshot
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.exec.durable import Damage, encode_line, read_prefix, sync, truncate
 
 #: Bump on any incompatible change to the record encoding.
 JOURNAL_SCHEMA_VERSION = 1
@@ -57,8 +58,8 @@ class JournalRecord:
     payload: Dict[str, Any]
 
     def encode(self) -> bytes:
-        """Canonical line encoding, CRC last so it covers the rest."""
-        body = _canonical(
+        """The record's CRC line."""
+        return encode_line(
             {
                 "seq": self.seq,
                 "v": JOURNAL_SCHEMA_VERSION,
@@ -66,12 +67,6 @@ class JournalRecord:
                 "payload": self.payload,
             }
         )
-        crc = zlib.crc32(body.encode("utf-8"))
-        return f'{{"crc": {crc}, "rec": {body}}}\n'.encode("utf-8")
-
-
-def _canonical(value: Dict[str, Any]) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -129,73 +124,58 @@ def read_journal(
     and sequence gaps all truncate the readable prefix and leave a
     note in the returned :class:`RecoveryReport`.
     """
-    report = report if report is not None else RecoveryReport()
-    report.journal_path = str(path)
-    records: List[JournalRecord] = []
-    if not path.exists():
-        return records, report
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    torn = b""
-    if lines and lines[-1] != b"":
-        # No trailing newline: the final write was interrupted.
-        torn = lines[-1]
-        lines = lines[:-1]
-    lines = [line for line in lines if line != b""]
-    expected_seq = 0
-    discarded_from: Optional[int] = None
-    for index, line in enumerate(lines):
-        damage = _validate_line(line, expected_seq)
-        if isinstance(damage, str):
-            report.note(f"record {index}: {damage}; discarding it and "
-                        f"{len(lines) - index - 1} subsequent record(s)")
-            discarded_from = index
-            break
-        records.append(damage)
-        expected_seq = damage.seq + 1
-    if discarded_from is not None:
-        report.records_discarded += len(lines) - discarded_from
-    if torn:
-        report.records_discarded += 1
-        report.note("torn tail: final record is incomplete (no newline); dropped")
-    report.records_kept = len(records)
+    records, report, _end = _read(Path(path), report)
     return records, report
 
 
-def _validate_line(line: bytes, expected_seq: int):
-    """A :class:`JournalRecord`, or a damage description string."""
-    try:
-        outer = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return "unparseable line"
-    if not isinstance(outer, dict) or "crc" not in outer or "rec" not in outer:
-        return "malformed envelope"
-    rec = outer["rec"]
-    if not isinstance(rec, dict):
-        return "malformed envelope"
-    body = _canonical(rec)
-    if zlib.crc32(body.encode("utf-8")) != outer["crc"]:
-        return "CRC mismatch"
-    version = rec.get("v")
-    if version != JOURNAL_SCHEMA_VERSION:
-        return (
-            f"schema version skew (journal v{version}, "
-            f"reader v{JOURNAL_SCHEMA_VERSION})"
-        )
-    seq = rec.get("seq")
-    if not isinstance(seq, int) or seq != expected_seq:
-        return f"sequence break (saw {seq!r}, expected {expected_seq})"
-    kind = rec.get("kind")
-    payload = rec.get("payload")
-    if not isinstance(kind, str) or not isinstance(payload, dict):
-        return "malformed record body"
-    return JournalRecord(seq=seq, kind=kind, payload=payload)
+def recover_journal(path: Path) -> Tuple[List[JournalRecord], RecoveryReport]:
+    """:func:`read_journal`, then cut the file back to the valid prefix,
+    so the next append continues it instead of fusing onto damage."""
+    records, report, end = _read(Path(path), None)
+    truncate(path, end)
+    return records, report
 
 
 def valid_prefix_length(path: Path) -> int:
     """Byte length of the longest valid record prefix (for truncation)."""
-    records, _report = read_journal(path)
-    return sum(len(record.encode()) for record in records)
+    return _read(Path(path), None)[2]
+
+
+def _read(
+    path: Path, report: Optional[RecoveryReport]
+) -> Tuple[List[JournalRecord], RecoveryReport, int]:
+    report = report if report is not None else RecoveryReport()
+    report.journal_path = str(path)
+    prefix = read_prefix(path, _check)
+    if prefix.damage is not None:
+        index = len(prefix.records)
+        discarded = prefix.lines - index
+        report.note(f"record {index}: {prefix.damage}; discarding it and "
+                    f"{discarded - 1} subsequent record(s)")
+        report.records_discarded += discarded
+    if prefix.torn:
+        report.records_discarded += 1
+        report.note("torn tail: final record is incomplete (no newline); dropped")
+    report.records_kept = len(prefix.records)
+    return prefix.records, report, prefix.end
+
+
+def _check(rec: Dict[str, Any], index: int) -> JournalRecord:
+    """The journal's record rules: schema version, then sequence."""
+    version = rec.get("v")
+    if version != JOURNAL_SCHEMA_VERSION:
+        raise Damage(
+            f"schema version skew (journal v{version}, "
+            f"reader v{JOURNAL_SCHEMA_VERSION})"
+        )
+    seq = rec.get("seq")
+    if not isinstance(seq, int) or seq != index:
+        raise Damage(f"sequence break (saw {seq!r}, expected {index})")
+    kind = rec.get("kind")
+    payload = rec.get("payload")
+    if not isinstance(kind, str) or not isinstance(payload, dict):
+        raise Damage("malformed record body")
+    return JournalRecord(seq=seq, kind=kind, payload=payload)
 
 
 class JournalWriter:
@@ -212,11 +192,9 @@ class JournalWriter:
         self,
         path: Path,
         *,
-        fsync: bool = True,
         after_write: Optional[Callable[[JournalRecord], None]] = None,
     ) -> None:
         self.path = Path(path)
-        self._fsync = fsync
         self.after_write = after_write
         self._next_seq = 0
         self._handle = None
@@ -239,14 +217,7 @@ class JournalWriter:
         Returns the writer positioned after the valid prefix, plus the
         prefix itself and the recovery report describing any damage.
         """
-        path = Path(path)
-        records, report = read_journal(path)
-        keep = sum(len(record.encode()) for record in records)
-        if path.exists() and keep < path.stat().st_size:
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
+        records, report = recover_journal(path)
         writer = cls(path, **kwargs)
         writer._next_seq = records[-1].seq + 1 if records else 0
         return writer, records, report
@@ -267,8 +238,8 @@ class JournalWriter:
             self._handle = open(self.path, "ab")
         self._handle.write(encoded)
         self._handle.flush()
-        if self._fsync and durable:
-            os.fsync(self._handle.fileno())
+        if durable:
+            sync(self._handle)
         self._next_seq += 1
         if self.after_write is not None:
             self.after_write(record)

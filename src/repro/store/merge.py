@@ -27,13 +27,13 @@ that silently misses hosts.
 from __future__ import annotations
 
 import hashlib
-import json
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.store.store import StoreError, _canonical, _write_durable
+from repro.exec import durable
+from repro.exec.durable import canonical
+from repro.store.store import StoreError
 
 #: Version stamp for the shard-segment file format below.
 SHARD_SCHEMA_VERSION = 1
@@ -66,7 +66,7 @@ def rows_digest(rows: Sequence[Dict[str, Any]]) -> str:
     to tell idempotent duplicates (same digest → discard) from
     conflicts (different digest → :class:`DuplicateShard`).
     """
-    return hashlib.sha256(_canonical(list(rows)).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical(list(rows)).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ def write_shard_segment(
 ) -> ShardSegment:
     """Durably write one worker's shard result set.
 
-    Same CRC-envelope framing as the journal (``{"crc": N, "rec": ...}``
-    over the canonical body) so torn or bit-flipped files are detected
-    at reconcile time, and written via temp + fsync + atomic replace so
-    a worker SIGKILLed mid-write leaves either nothing or a valid file.
+    One CRC line in the journal's framing
+    (:func:`repro.exec.durable.encode_line`), so torn or bit-flipped
+    files are detected at reconcile time, written atomically so a
+    worker SIGKILLed mid-write leaves either nothing or a valid file.
     """
     row_list = [dict(row) for row in rows]
     digest = rows_digest(row_list)
@@ -124,11 +124,7 @@ def write_shard_segment(
         "rows_sha256": digest,
         "rows": row_list,
     }
-    canonical = _canonical(body)
-    envelope = _canonical(
-        {"crc": zlib.crc32(canonical.encode("utf-8")), "rec": body}
-    )
-    _write_durable(path, envelope.encode("utf-8"))
+    durable.atomic_write(path, durable.encode_line(body))
     return ShardSegment(
         shard=shard,
         worker=worker,
@@ -157,30 +153,17 @@ def load_shard_segment(
     """
     shard = expected_shard
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except OSError as exc:
         raise ShardSegmentDamage(
             shard, f"shard segment {path.name} unreadable: {exc}"
         ) from exc
     try:
-        envelope = json.loads(raw)
-    except ValueError as exc:
+        body = durable.decode_line(raw)
+    except durable.Damage as exc:
         raise ShardSegmentDamage(
-            shard, f"shard segment {path.name} is not valid JSON (torn write?)"
+            shard, f"shard segment {path.name} is damaged ({exc})"
         ) from exc
-    if (
-        not isinstance(envelope, dict)
-        or set(envelope) != {"crc", "rec"}
-        or not isinstance(envelope.get("rec"), dict)
-    ):
-        raise ShardSegmentDamage(
-            shard, f"shard segment {path.name} has a malformed envelope"
-        )
-    body = envelope["rec"]
-    if zlib.crc32(_canonical(body).encode("utf-8")) != envelope["crc"]:
-        raise ShardSegmentDamage(
-            shard, f"shard segment {path.name} failed its CRC check"
-        )
     if body.get("schema") != SHARD_SCHEMA_VERSION:
         raise ShardSegmentDamage(
             shard,

@@ -27,16 +27,14 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
+from repro.exec.durable import canonical, publish, sync
 from repro.store.records import INDEX_DIMENSIONS, RECORD_KINDS
 from repro.store.store import (
     CommitResult,
-    EpochManifest,
     MANIFEST_FILENAME,
     SEGMENT_SUFFIX,
     SegmentInfo,
     StoreError,
-    _canonical,
-    _fsync_file,
     _remove_tree,
 )
 
@@ -87,7 +85,7 @@ class SegmentWriter:
         """Append one row (canonical JSON, comma-separated)."""
         if self._closed:
             raise StoreError(f"segment {self.kind} already sealed")
-        chunk = _canonical(row).encode("utf-8")
+        chunk = canonical(row).encode("utf-8")
         self._feed(b"," + chunk if self.count else chunk)
         self.count += 1
         for dim in INDEX_DIMENSIONS:
@@ -105,8 +103,7 @@ class SegmentWriter:
         if tail:
             self._handle.write(tail)
             self.stored_bytes += len(tail)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        sync(self._handle)
         self._handle.close()
         return SegmentInfo(
             file=self.path.name,
@@ -221,9 +218,9 @@ class EpochStream:
                 return CommitResult(
                     epoch_id=manifest.epoch_id, created=False, path=final
                 )
-            self._store._write_manifest(self._staging, manifest)
-            os.replace(self._staging, final)
-            _fsync_file(self._store._epochs_dir)
+            publish(
+                self._staging, {MANIFEST_FILENAME: manifest.encode()}, final
+            )
         except StoreError:
             raise
         except OSError as exc:

@@ -20,13 +20,14 @@ JSON in the spirit of :mod:`repro.exec.journal`, plus a SHA-256; reads
 verify both, and any mismatch (torn file, flipped byte) raises
 :class:`SegmentDamage` instead of returning silently wrong science.
 
-Durability follows :mod:`repro.exec.checkpoint`'s protocol: epoch
-directories are staged under a temp name, each file fsynced, the
-directory atomically renamed into place, and the parent fsynced; the
-commit log and indexes are written with the same temp+fsync+replace
-dance. Secondary indexes (country, ASN, product, ISP, category) are a
-pure function of the manifests, so a missing or damaged index file is
-rebuilt on load rather than trusted.
+Durability is :mod:`repro.exec.durable`'s protocol: epoch directories
+are staged under a temp name, each file fsynced, the staging directory
+fsynced, then atomically renamed into place and the parent fsynced
+(:func:`~repro.exec.durable.publish`); the commit log is a CRC log
+appended with fsync, and indexes and log rewrites go through
+:func:`~repro.exec.durable.atomic_write`. Secondary indexes (country,
+ASN, product, ISP, category) are a pure function of the manifests, so a
+missing or damaged index file is rebuilt on load rather than trusted.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.exec import durable
+from repro.exec.durable import canonical
 from repro.store.records import INDEX_DIMENSIONS, EpochData
 
 #: Bump on any incompatible change to manifests, segments, or indexes.
@@ -61,29 +64,6 @@ class SegmentDamage(StoreError):
 
 class UnknownEpoch(StoreError):
     """No committed epoch matches the requested id."""
-
-
-def _canonical(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _write_durable(path: Path, data: bytes) -> None:
-    """temp + fsync + atomic replace + parent fsync."""
-    temp = path.with_name(path.name + ".tmp")
-    with open(temp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-    _fsync_file(path.parent)
 
 
 @dataclass(frozen=True)
@@ -158,6 +138,12 @@ class EpochManifest:
         document["epoch"] = self.epoch_id
         return document
 
+    def encode(self) -> bytes:
+        """The ``manifest.json`` bytes."""
+        return (
+            json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
+        ).encode("utf-8")
+
     @classmethod
     def from_document(cls, document: Dict[str, Any]) -> "EpochManifest":
         if document.get("schema") != STORE_SCHEMA_VERSION:
@@ -210,11 +196,13 @@ class CommitResult:
     path: Path
 
 
-def _encode_segment(rows: List[Dict[str, Any]]) -> Tuple[bytes, SegmentInfo]:
-    raw = _canonical(rows).encode("utf-8")
+def _encode_segment(
+    rows: List[Dict[str, Any]], file: str
+) -> Tuple[bytes, SegmentInfo]:
+    raw = canonical(rows).encode("utf-8")
     compressed = zlib.compress(raw, 6)
     return compressed, SegmentInfo(
-        file="",  # filled in by the caller, which knows the kind
+        file=file,
         count=len(rows),
         crc32=zlib.crc32(raw),
         sha256=hashlib.sha256(raw).hexdigest(),
@@ -246,17 +234,10 @@ class ResultsStore:
         segments: Dict[str, SegmentInfo] = {}
         payloads: Dict[str, bytes] = {}
         for kind, rows in sorted(epoch.records.items()):
-            compressed, info = _encode_segment(rows)
             filename = f"{kind}{SEGMENT_SUFFIX}"
-            segments[kind] = SegmentInfo(
-                file=filename,
-                count=info.count,
-                crc32=info.crc32,
-                sha256=info.sha256,
-                raw_bytes=info.raw_bytes,
-                stored_bytes=info.stored_bytes,
+            payloads[filename], segments[kind] = _encode_segment(
+                rows, filename
             )
-            payloads[filename] = compressed
         manifest = self._seal_manifest(
             fingerprint=epoch.fingerprint,
             seed=epoch.seed,
@@ -276,15 +257,9 @@ class ResultsStore:
         if staging.exists():
             _remove_tree(staging)
         staging.mkdir(parents=True)
+        payloads[MANIFEST_FILENAME] = manifest.encode()
         try:
-            for filename, payload in sorted(payloads.items()):
-                with open(staging / filename, "wb") as handle:
-                    handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            self._write_manifest(staging, manifest)
-            os.replace(staging, final)
-            _fsync_file(self._epochs_dir)
+            durable.publish(staging, payloads, final)
         except OSError as exc:
             _remove_tree(staging)
             raise StoreError(f"cannot commit epoch {epoch_id}: {exc}") from exc
@@ -340,30 +315,9 @@ class ResultsStore:
             keys=keys,
         )
         epoch_id = hashlib.sha256(
-            _canonical(unsealed.core_document()).encode("utf-8")
+            canonical(unsealed.core_document()).encode("utf-8")
         ).hexdigest()
-        return EpochManifest(
-            epoch_id=epoch_id,
-            fingerprint=fingerprint,
-            seed=seed,
-            identity=identity,
-            window_start=window_start,
-            window_end=window_end,
-            partial=partial,
-            segments=segments,
-            keys=keys,
-        )
-
-    @staticmethod
-    def _write_manifest(directory: Path, manifest: EpochManifest) -> None:
-        manifest_bytes = (
-            json.dumps(manifest.to_document(), indent=2, sort_keys=True)
-            + "\n"
-        ).encode("utf-8")
-        with open(directory / MANIFEST_FILENAME, "wb") as handle:
-            handle.write(manifest_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
+        return replace(unsealed, epoch_id=epoch_id)
 
     def _register_commit(self, manifest: EpochManifest) -> None:
         """Post-rename bookkeeping shared by both commit paths."""
@@ -388,25 +342,13 @@ class ResultsStore:
             # order rather than appending after garbage.
             self._rewrite_commit_log(order)
             return
-        line = self._log_line(len(order) - 1, epoch_id)
-        with open(self._log_path, "ab") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _log_line(self, seq: int, epoch_id: str) -> bytes:
-        body = _canonical(
-            {"seq": seq, "v": STORE_SCHEMA_VERSION, "epoch": epoch_id}
-        )
-        crc = zlib.crc32(body.encode("utf-8"))
-        return f'{{"crc": {crc}, "rec": {body}}}\n'.encode("utf-8")
+        durable.append(self._log_path, _log_line(len(order) - 1, epoch_id))
 
     def _rewrite_commit_log(self, order: List[str]) -> None:
         data = b"".join(
-            self._log_line(seq, epoch_id)
-            for seq, epoch_id in enumerate(order)
+            _log_line(seq, epoch_id) for seq, epoch_id in enumerate(order)
         )
-        _write_durable(self._log_path, data)
+        durable.atomic_write(self._log_path, data)
 
     def _read_commit_log(self) -> Tuple[List[str], bool]:
         """(epoch ids in commit order, log-was-damaged flag).
@@ -438,23 +380,8 @@ class ResultsStore:
 
     def _read_log_lines(self) -> Tuple[List[str], bool]:
         """The log's longest valid prefix, without orphan recovery."""
-        order: List[str] = []
-        dirty = False
-        if self._log_path.exists():
-            raw = self._log_path.read_bytes()
-            lines = raw.split(b"\n")
-            if lines and lines[-1] != b"":
-                dirty = True  # torn tail
-                lines = lines[:-1]
-            for line in lines:
-                if line == b"":
-                    continue
-                record = self._validate_log_line(line, len(order))
-                if record is None:
-                    dirty = True
-                    break
-                order.append(record)
-        return order, dirty
+        prefix = durable.read_prefix(self._log_path, _check_log_record)
+        return prefix.records, prefix.torn or prefix.damage is not None
 
     def _orphaned_epochs(self, known: set) -> List[str]:
         """Committed epoch directories absent from ``known``, by name."""
@@ -466,26 +393,6 @@ class ResultsStore:
             and path.name not in known
             and (path / MANIFEST_FILENAME).exists()
         )
-
-    @staticmethod
-    def _validate_log_line(line: bytes, expected_seq: int) -> Optional[str]:
-        try:
-            outer = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(outer, dict) or "crc" not in outer or "rec" not in outer:
-            return None
-        rec = outer["rec"]
-        if not isinstance(rec, dict):
-            return None
-        if zlib.crc32(_canonical(rec).encode("utf-8")) != outer["crc"]:
-            return None
-        if rec.get("v") != STORE_SCHEMA_VERSION:
-            return None
-        if rec.get("seq") != expected_seq:
-            return None
-        epoch = rec.get("epoch")
-        return epoch if isinstance(epoch, str) else None
 
     # -------------------------------------------------------------- reading
     def epoch_ids(self) -> List[str]:
@@ -576,7 +483,7 @@ class ResultsStore:
         except StoreError as exc:
             return [str(exc)]
         recomputed = hashlib.sha256(
-            _canonical(manifest.core_document()).encode("utf-8")
+            canonical(manifest.core_document()).encode("utf-8")
         ).hexdigest()
         if recomputed != manifest.epoch_id:
             problems.append("manifest core does not hash to the epoch id")
@@ -642,7 +549,7 @@ class ResultsStore:
             data = (
                 json.dumps(document, indent=2, sort_keys=True) + "\n"
             ).encode("utf-8")
-            _write_durable(self._indexes_dir / f"{dimension}.json", data)
+            durable.atomic_write(self._indexes_dir / f"{dimension}.json", data)
 
     def rebuild_indexes(self) -> None:
         """Force a rebuild of every index file from manifests."""
@@ -658,6 +565,24 @@ class ResultsStore:
         return hashlib.sha256(
             "\n".join(self.epoch_ids()).encode("utf-8")
         ).hexdigest()
+
+
+def _log_line(seq: int, epoch_id: str) -> bytes:
+    return durable.encode_line(
+        {"seq": seq, "v": STORE_SCHEMA_VERSION, "epoch": epoch_id}
+    )
+
+
+def _check_log_record(rec: Dict[str, Any], index: int) -> str:
+    """The commit log's record rules: schema version, sequence, epoch id."""
+    epoch = rec.get("epoch")
+    if (
+        rec.get("v") != STORE_SCHEMA_VERSION
+        or rec.get("seq") != index
+        or not isinstance(epoch, str)
+    ):
+        raise durable.Damage("invalid commit-log record")
+    return epoch
 
 
 def _remove_tree(path: Path) -> None:
